@@ -6,11 +6,15 @@
 //! decoded per codeword (`sequential_*`) vs through one [`BatchDecoder`]
 //! (`batched_*`, decoder construction included — that is what the GVSS
 //! recover round pays each beat).
+//!
+//! The `recover_shapes` group decodes at the two shapes the repository
+//! benchmark's coin workloads run, with the decoder built once as the GVSS
+//! workspace cache does.
 
-use byzclock_field::{rs, BatchDecoder, Fp, Poly};
+use byzclock_field::{rs, BatchDecoder, Fp, FpElem, Poly};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn shares(fp: &Fp, f: usize, n: usize, errors: usize, seed: u64) -> Vec<(u64, u64)> {
@@ -96,5 +100,72 @@ fn bench_batch_decode(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decode, bench_batch_decode, bench_interpolate);
+/// Distinct codewords per `recover_shapes` case.
+const SHAPE_CODEWORDS: usize = 256;
+
+/// `SHAPE_CODEWORDS` distinct codewords of random degree-`degree`
+/// polynomials at `1..=n`, each with `errors` distinct wrong positions.
+///
+/// Distinct on purpose: decoding one codeword over and over lets the
+/// branch predictor learn that decode's exact branch sequence, which hides
+/// the cost of data-dependent branching. On the op-log elimination decoder
+/// this kernel replaced, a repeated codeword and 256 distinct ones
+/// measured about 2× apart.
+fn distinct_codewords(fp: &Fp, n: usize, degree: usize, errors: usize) -> Vec<Vec<FpElem>> {
+    let mut rng = StdRng::seed_from_u64(11);
+    (0..SHAPE_CODEWORDS)
+        .map(|_| {
+            let poly = Poly::from_coeffs((0..=degree).map(|_| fp.sample(&mut rng)).collect());
+            let mut ys: Vec<FpElem> = (1..=n as u64).map(|x| poly.eval(fp, x)).collect();
+            let mut wrong: Vec<usize> = Vec::with_capacity(errors);
+            while wrong.len() < errors {
+                let i = rng.random_range(0..n);
+                if !wrong.contains(&i) {
+                    wrong.push(i);
+                    ys[i] = fp.add(ys[i], 1 + rng.random_range(0..fp.modulus() - 1));
+                }
+            }
+            ys
+        })
+        .collect()
+}
+
+/// The benchmark workloads' decode shapes, per 256-codeword pass:
+/// `coin-noise` (22 points, degree 7, all 7 Byzantine shares wrong, one
+/// `decode_one` per codeword) and `committee-sync` (the c = 19 committee,
+/// degree 6, clean, one `decode_batch`).
+fn bench_recover_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("recover_shapes");
+    for (name, n, degree, errors) in [("full_rung_22_7", 22, 7, 7), ("clean_batch_19_6", 19, 6, 0)]
+    {
+        let fp = Fp::for_cluster(n);
+        let xs: Vec<u64> = (1..=n as u64).collect();
+        let codewords = distinct_codewords(&fp, n, degree, errors);
+        let mut dec = BatchDecoder::new(&fp, &xs, degree).expect("distinct xs, enough points");
+        group.bench_with_input(
+            BenchmarkId::new(name, SHAPE_CODEWORDS),
+            &codewords,
+            |b, cws| {
+                b.iter(|| {
+                    if errors == 0 {
+                        dec.decode_batch(black_box(cws)).len()
+                    } else {
+                        cws.iter()
+                            .filter_map(|ys| dec.decode_one(black_box(ys)))
+                            .count()
+                    }
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_decode,
+    bench_batch_decode,
+    bench_recover_shapes,
+    bench_interpolate
+);
 criterion_main!(benches);

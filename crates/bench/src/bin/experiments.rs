@@ -578,7 +578,7 @@ fn f1_coin_contract() {
         "Contract: p0 and p1 are bounded away from 0 under every adversary\n\
          (Def. 2.6/2.7); honest ticket-coin frequencies follow the FM lottery\n\
          (p0 ~ 1-(1-1/n)^n, p1 ~ (1-1/n)^n). b\u{304} is the mean recover-round\n\
-         decode batch size (codewords per factored elimination, via\n\
+         decode batch size (codewords per point-set decoder, via\n\
          metrics=decode).\n"
     );
 }

@@ -1061,6 +1061,9 @@ mod tests {
              budget=40",
             "clock-sync n=4 f=1 k=16 coin=ticket adv=silent faults=corrupt-start \
              wire=packed-bytes seed=1 budget=2000",
+            // CI full-budget decode smoke line
+            "coin-stream n=22 f=7 coin=ticket adv=coin-noise faults=none \
+             wire=packed-bytes seed=1 budget=8",
         ];
         for line in documented {
             let spec = ScenarioSpec::parse(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));

@@ -4,6 +4,19 @@
 //! so it is a runtime value rather than a type parameter. [`Fp`] is a small
 //! context object that interprets plain `u64` values (type-aliased as
 //! [`FpElem`]) as field elements; all arithmetic goes through it.
+//!
+//! # Barrett reduction
+//!
+//! Every modulus fits in 32 bits, so the product of two canonical elements
+//! fits in a `u64` and reduction never needs a `u128` division. [`Fp`]
+//! stores `m = ⌊(2^64 − 1) / p⌋` and reduces `x` as `x − ⌊x·m / 2^64⌋·p`
+//! followed by one conditional subtract. That is exact for *every* `u64`:
+//! `m ≥ (2^64 − p) / p` gives `x/p − 1 < x·m/2^64 ≤ x/p`, so the quotient
+//! estimate is `⌊x/p⌋` or one less and the remainder lands in `[0, 2p)`.
+//!
+//! The same 32-bit bound lets `Fp::dot` sum many products before
+//! reducing: `Fp` also stores how many products of canonical elements fit
+//! in one `u64` accumulator, and `dot` reduces at least that often.
 
 use crate::{is_prime, FieldError};
 
@@ -32,6 +45,11 @@ pub type FpElem = u64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fp {
     p: u64,
+    /// Barrett constant `⌊(2^64 − 1) / p⌋` (see the module docs).
+    m: u64,
+    /// How many products of canonical elements one `u64` sum holds:
+    /// `⌊(2^64 − 1) / (p − 1)²⌋`, at least 1 for every 32-bit `p`.
+    lazy: usize,
 }
 
 impl Fp {
@@ -40,10 +58,12 @@ impl Fp {
     /// # Errors
     ///
     /// Returns [`FieldError::NotPrime`] if `p` is composite and
-    /// [`FieldError::ModulusTooLarge`] if `p` does not fit in 32 bits
-    /// (products are computed in `u128`, but 32-bit moduli keep every
-    /// intermediate comfortably in range and are far beyond any realistic
-    /// cluster size).
+    /// [`FieldError::ModulusTooLarge`] if `p` does not fit in 32 bits.
+    /// The bound is what makes the arithmetic exact: the product of two
+    /// canonical elements must fit in a `u64` for the Barrett reduction
+    /// and the delayed-reduction sums of `Fp::dot`. It is far beyond any
+    /// cluster: node ids are `u16`, so [`Fp::for_cluster`] never needs
+    /// more than `p = 65537`.
     pub fn new(p: u64) -> Result<Self, FieldError> {
         if p > u64::from(u32::MAX) {
             return Err(FieldError::ModulusTooLarge(p));
@@ -51,11 +71,24 @@ impl Fp {
         if !is_prime(p) {
             return Err(FieldError::NotPrime(p));
         }
-        Ok(Fp { p })
+        let max = p - 1;
+        Ok(Fp {
+            p,
+            m: u64::MAX / p,
+            lazy: usize::try_from(u64::MAX / (max * max)).unwrap_or(usize::MAX),
+        })
     }
 
     /// The field used by a cluster of `n` nodes: the smallest prime above
     /// `max(n, 2)` (Remark 2.3 of the paper).
+    ///
+    /// Node ids are `u16`, so a real cluster has `n ≤ 65536` and
+    /// `p ≤ 65537`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that prime does not fit in 32 bits (`n ≥ 4294967291`),
+    /// the same bound [`Fp::new`] enforces.
     ///
     /// # Example
     ///
@@ -65,7 +98,10 @@ impl Fp {
     /// ```
     pub fn for_cluster(n: usize) -> Self {
         let p = crate::smallest_prime_above((n as u64).max(2));
-        Fp { p }
+        match Fp::new(p) {
+            Ok(fp) => fp,
+            Err(e) => panic!("no field for a cluster of {n} nodes: {e}"),
+        }
     }
 
     /// The modulus `p`.
@@ -95,9 +131,42 @@ impl Fp {
         }
     }
 
-    /// Reduces an arbitrary `u64` into the field.
+    /// Reduces an arbitrary `u64` into the field (Barrett; see the module
+    /// docs for why one conditional subtract is exact).
+    #[inline]
     pub fn reduce(&self, x: u64) -> FpElem {
-        x % self.p
+        let q = ((u128::from(x) * u128::from(self.m)) >> 64) as u64;
+        self.sub_if_ge_p(x - q * self.p)
+    }
+
+    /// `x − p` if `x ≥ p`, else `x`, without a branch: field data is
+    /// random, so a data-dependent branch here would mispredict half the
+    /// time. Callers pass `x < 2p`.
+    #[inline]
+    fn sub_if_ge_p(&self, x: u64) -> u64 {
+        x - (self.p & u64::from(x >= self.p).wrapping_neg())
+    }
+
+    /// The inner product `Σ a_i·b_i` of two vectors of canonical elements
+    /// (over the shorter length). Products are summed in a `u64` and
+    /// reduced at least once per `lazy` terms, so the sum can never
+    /// overflow whatever the modulus.
+    #[inline]
+    pub(crate) fn dot(&self, a: &[FpElem], b: &[FpElem]) -> FpElem {
+        let len = a.len().min(b.len());
+        let (a, b) = (&a[..len], &b[..len]);
+        if len <= self.lazy {
+            // Every cluster-sized row: one sum, one reduction.
+            debug_assert!(a.iter().chain(b).all(|&v| self.contains(v)));
+            return self.reduce(a.iter().zip(b).fold(0u64, |s, (&x, &y)| s + x * y));
+        }
+        let mut acc = 0;
+        for (ca, cb) in a.chunks(self.lazy).zip(b.chunks(self.lazy)) {
+            debug_assert!(ca.iter().chain(cb).all(|&v| self.contains(v)));
+            let sum = ca.iter().zip(cb).fold(0u64, |s, (&x, &y)| s + x * y);
+            acc = self.add(acc, self.reduce(sum));
+        }
+        acc
     }
 
     /// Returns `true` if `x` is a canonical element (`x < p`).
@@ -106,40 +175,32 @@ impl Fp {
     }
 
     /// Addition in `F_p`.
+    #[inline]
     pub fn add(&self, a: FpElem, b: FpElem) -> FpElem {
         debug_assert!(self.contains(a) && self.contains(b));
-        let s = a + b;
-        if s >= self.p {
-            s - self.p
-        } else {
-            s
-        }
+        self.sub_if_ge_p(a + b)
     }
 
     /// Subtraction in `F_p`.
+    #[inline]
     pub fn sub(&self, a: FpElem, b: FpElem) -> FpElem {
         debug_assert!(self.contains(a) && self.contains(b));
-        if a >= b {
-            a - b
-        } else {
-            a + self.p - b
-        }
+        self.sub_if_ge_p(a + self.p - b)
     }
 
     /// Additive inverse.
+    #[inline]
     pub fn neg(&self, a: FpElem) -> FpElem {
         debug_assert!(self.contains(a));
-        if a == 0 {
-            0
-        } else {
-            self.p - a
-        }
+        self.sub_if_ge_p(self.p - a)
     }
 
-    /// Multiplication in `F_p`.
+    /// Multiplication in `F_p`: one `u64` product (canonical elements are
+    /// below 2^32) and a Barrett reduction.
+    #[inline]
     pub fn mul(&self, a: FpElem, b: FpElem) -> FpElem {
         debug_assert!(self.contains(a) && self.contains(b));
-        ((u128::from(a) * u128::from(b)) % u128::from(self.p)) as u64
+        self.reduce(a * b)
     }
 
     /// Exponentiation by squaring.
@@ -188,7 +249,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    const TEST_PRIMES: [u64; 5] = [2, 5, 11, 101, 65537];
+    const TEST_PRIMES: [u64; 6] = [2, 5, 11, 101, 65537, P_MAX];
 
     #[test]
     fn rejects_composite_modulus() {
@@ -206,9 +267,67 @@ mod tests {
     fn for_cluster_matches_remark_2_3() {
         assert_eq!(Fp::for_cluster(7).modulus(), 11);
         assert_eq!(Fp::for_cluster(4).modulus(), 5);
+        // `NodeId` is `u16`: the largest real cluster needs p = 65537.
+        assert_eq!(Fp::for_cluster(65536).modulus(), 65537);
+        // The 32-bit boundary itself is still a valid field.
+        assert_eq!(Fp::for_cluster(P_MAX as usize - 1).modulus(), P_MAX);
         // Degenerate cluster sizes still produce a valid field.
         assert_eq!(Fp::for_cluster(0).modulus(), 3);
         assert_eq!(Fp::for_cluster(1).modulus(), 3);
+    }
+
+    /// The largest prime below 2^32: the last modulus the 32-bit bound
+    /// admits.
+    const P_MAX: u64 = 4_294_967_291;
+
+    #[test]
+    #[should_panic(expected = "no field for a cluster")]
+    fn for_cluster_enforces_the_32_bit_bound() {
+        // The smallest prime above P_MAX is 2^32 + 15.
+        Fp::for_cluster(P_MAX as usize);
+    }
+
+    #[test]
+    fn barrett_reduction_is_exact_at_the_boundaries() {
+        for p in [2, 3, 5, 65537, P_MAX] {
+            let fp = Fp::new(p).unwrap();
+            let max = p - 1;
+            for x in [
+                0,
+                1,
+                p - 1,
+                p,
+                p + 1,
+                2 * p - 1,
+                max * max,
+                u64::MAX - 1,
+                u64::MAX,
+            ] {
+                assert_eq!(fp.reduce(x), x % p, "p = {p}, x = {x}");
+            }
+            assert_eq!(
+                fp.mul(max, max),
+                ((u128::from(max) * u128::from(max)) % u128::from(p)) as u64
+            );
+        }
+    }
+
+    #[test]
+    fn dot_reduces_before_the_accumulator_overflows() {
+        // Near the bound a u64 holds a single product, so `dot` must
+        // reduce after every term; at p = 65537 it never needs to within
+        // a cluster-sized row.
+        let fp = Fp::new(P_MAX).unwrap();
+        assert_eq!(fp.lazy, 1);
+        let max = P_MAX - 1;
+        let a = vec![max; 9];
+        let want = (9 * (u128::from(max) * u128::from(max))) % u128::from(P_MAX);
+        assert_eq!(u128::from(fp.dot(&a, &a)), want);
+        let fp = Fp::new(65537).unwrap();
+        assert!(fp.lazy > 1 << 31);
+        assert_eq!(Fp::new(2).unwrap().lazy, usize::MAX);
+        let a = vec![65536; 65536];
+        assert_eq!(fp.dot(&a, &a), ((65536 * 65536u128 * 65536) % 65537) as u64);
     }
 
     #[test]
@@ -261,6 +380,16 @@ mod tests {
             let fp = Fp::new(p).unwrap();
             prop_assert_eq!(fp.add(a, b), fp.add(b, a));
             prop_assert!(fp.contains(fp.add(a, b)));
+        }
+
+        #[test]
+        fn reduce_and_mul_match_the_u128_remainder(
+            (p, a, b) in prime_and_pair(),
+            x in any::<u64>(),
+        ) {
+            let fp = Fp::new(p).unwrap();
+            prop_assert_eq!(fp.reduce(x), x % p);
+            prop_assert_eq!(u128::from(fp.mul(a, b)), (u128::from(a) * u128::from(b)) % u128::from(p));
         }
 
         #[test]

@@ -7,18 +7,28 @@
 //! the code" — we use the smallest prime larger than `n`). This crate
 //! supplies everything that layer needs:
 //!
-//! - [`Fp`]: a dynamic-modulus prime field with element type [`FpElem`],
+//! - [`Fp`]: a dynamic-modulus prime field with element type [`FpElem`].
+//!   Moduli fit in 32 bits, so products fit in a `u64`: multiplication is
+//!   one multiply plus an exact Barrett reduction, and inner products
+//!   (`Fp::dot`) reduce once per row instead of once per term,
 //! - [`Poly`]: univariate polynomials (evaluation, Lagrange interpolation,
 //!   arithmetic, division),
 //! - [`SymmetricBivariate`]: symmetric bivariate polynomials used by the
 //!   graded VSS dealing phase,
-//! - [`linalg`]: Gaussian elimination over `F_p`, including the
-//!   column-incremental [`linalg::Eliminator`] behind the decode hot path,
+//! - [`linalg`]: Gaussian elimination over `F_p` — a general solver and the
+//!   small kernel-vector solve the decoder's key equation needs,
 //! - [`rs`]: Reed–Solomon decoding via the Berlekamp–Welch algorithm, which
-//!   lets the coin's recover round tolerate up to `f` corrupted shares —
-//!   one-shot ([`rs::decode`]) or amortized over every codeword sharing an
-//!   evaluation-point set ([`BatchDecoder`], the per-beat GVSS recover
-//!   shape).
+//!   lets the coin's recover round tolerate up to `f` corrupted shares.
+//!   The decoder works in syndrome form: per evaluation-point set it
+//!   precomputes the dual-GRS weights `v_i·x_i^m` (with
+//!   `v_i = 1 / ∏_{j≠i} (x_i − x_j)`); per codeword it computes
+//!   `n − d − 1` syndromes, which are all zero exactly on codewords, and
+//!   otherwise reads the error locator off the kernel of the small Hankel
+//!   matrix `H[t][k] = s_{t+k}` — the Berlekamp–Welch key equation with
+//!   the `Q` unknowns eliminated. The codeword within budget is unique, so
+//!   the one-shot ([`rs::decode`]) and the batched ([`BatchDecoder`], the
+//!   per-beat GVSS recover shape) paths return the same polynomial; the
+//!   [`rs`] module docs carry the derivation and the uniqueness argument.
 //!
 //! # Example
 //!

@@ -86,6 +86,10 @@ fn parallel_step_preserves_the_golden_reports() {
             "coin-stream n=4 f=1 coin=ticket adv=coin-noise:4 faults=none seed=11 budget=40",
             r#"{"spec":"coin-stream n=4 f=1 k=8 coin=ticket adv=coin-noise:4 faults=none seed=11 budget=40","beats":40,"converged_at":null,"measured_from":0,"final_streak":0,"final_clocks":[],"traffic":{"correct_msgs":1920,"correct_bytes":158976,"byz_msgs":640,"byz_bytes":41120,"forged_dropped":0,"phantom_msgs":0,"mean_correct_msgs_per_beat":48.000,"mean_correct_bytes_per_beat":3974.400},"extras":{"p0":0.694444,"p1":0.305556,"agreement_rate":1.000000,"measured_beats":36.000000}}"#,
         ),
+        (
+            "coin-stream n=13 f=4 coin=ticket adv=coin-noise faults=none wire=packed-bytes seed=11 budget=24",
+            r#"{"spec":"coin-stream n=13 f=4 k=8 coin=ticket adv=coin-noise:4 faults=none wire=packed-bytes seed=11 budget=24","beats":24,"converged_at":null,"measured_from":0,"final_streak":0,"final_clocks":[],"traffic":{"correct_msgs":11232,"correct_bytes":1116953,"byz_msgs":4992,"byz_bytes":394854,"forged_dropped":0,"phantom_msgs":0,"mean_correct_msgs_per_beat":468.000,"mean_correct_bytes_per_beat":46539.708},"extras":{"p0":0.500000,"p1":0.500000,"agreement_rate":1.000000,"measured_beats":20.000000}}"#,
+        ),
     ];
     let registry = default_registry();
     set_step_threads_override(Some(4));

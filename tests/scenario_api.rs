@@ -262,6 +262,11 @@ fn delay_field_round_trips_on_every_family() {
 /// lines were captured from the pre-timing-model simulator (the same-beat
 /// delivery loop before the scheduler refactor). Any drift here means the
 /// `TimingModel::Lockstep` path is no longer the paper's global beat.
+///
+/// The `n=13 f=4` coin-noise line was captured from the op-log
+/// elimination decoder that the syndrome-form Berlekamp–Welch kernel
+/// replaced. Its budget of 4 sends most codewords through the full error
+/// locator solve, so it pins the new decoder's output to the old one's.
 #[test]
 fn lockstep_pins_the_pre_refactor_seed_reports() {
     let goldens = [
@@ -280,6 +285,10 @@ fn lockstep_pins_the_pre_refactor_seed_reports() {
         (
             "coin-stream n=4 f=1 coin=ticket adv=coin-noise:4 faults=none seed=11 budget=40",
             r#"{"spec":"coin-stream n=4 f=1 k=8 coin=ticket adv=coin-noise:4 faults=none seed=11 budget=40","beats":40,"converged_at":null,"measured_from":0,"final_streak":0,"final_clocks":[],"traffic":{"correct_msgs":1920,"correct_bytes":158976,"byz_msgs":640,"byz_bytes":41120,"forged_dropped":0,"phantom_msgs":0,"mean_correct_msgs_per_beat":48.000,"mean_correct_bytes_per_beat":3974.400},"extras":{"p0":0.694444,"p1":0.305556,"agreement_rate":1.000000,"measured_beats":36.000000}}"#,
+        ),
+        (
+            "coin-stream n=13 f=4 coin=ticket adv=coin-noise faults=none wire=packed-bytes seed=11 budget=24",
+            r#"{"spec":"coin-stream n=13 f=4 k=8 coin=ticket adv=coin-noise:4 faults=none wire=packed-bytes seed=11 budget=24","beats":24,"converged_at":null,"measured_from":0,"final_streak":0,"final_clocks":[],"traffic":{"correct_msgs":11232,"correct_bytes":1116953,"byz_msgs":4992,"byz_bytes":394854,"forged_dropped":0,"phantom_msgs":0,"mean_correct_msgs_per_beat":468.000,"mean_correct_bytes_per_beat":46539.708},"extras":{"p0":0.500000,"p1":0.500000,"agreement_rate":1.000000,"measured_beats":20.000000}}"#,
         ),
     ];
     for (line, golden) in goldens {
